@@ -56,8 +56,19 @@ class FaultInjector {
     on_alloc_slow(bytes);
   }
 
-  // Phase boundary crossed (outside any parallel region).  Throws
-  // FaultInjectedError when the armed countdown hits zero.
+  // Phase boundary crossed.  Throws FaultInjectedError when the armed
+  // countdown hits zero.  The three execute points are crossed once per
+  // PB run, in phase order, under either schedule, so throw_at(p, skip)
+  // counts runs the same way under both:
+  //   kPlanBuild     once per pb_plan_build (a cached plan skips it).
+  //   kExpand        before the stream acquisition (both schedules).
+  //   kSortCompress  barrier: before the sort/compress loop; pipeline: by
+  //                  the first bin task, inside the parallel region — the
+  //                  throw is captured there and rethrown after the join
+  //                  (after the join instead when the product is empty).
+  //   kConvert       barrier: before the CSR conversion; pipeline: before
+  //                  the prefix-sum + scatter tail, after the join.
+  //   kBatchWorker   once per descriptor of a batched run, before it runs.
   static void at(FaultPoint p) {
     if (!enabled()) return;
     at_slow(p);

@@ -235,6 +235,11 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const MaskSpec cmask = expand_masked ? MaskSpec{} : mask;
   const bool accumulating = epi.accumulate != nullptr;
 
+  // Phase fault points, crossed once per run in phase order exactly as on
+  // the barrier path: expand here, sort_compress at the first bin task,
+  // convert before the tail.
+  FaultInjector::at(FaultPoint::kExpand);
+
   // ---- shared state ----
   const auto buf_len = static_cast<std::size_t>(sym.bin_offsets.back());
   Tuple* expanded = nullptr;
@@ -275,6 +280,9 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     max_bin = std::max(max_bin, sym.bin_fill[bin]);
   }
   std::atomic<int> bins_remaining{nonempty};
+  // Set by whichever bin task crosses the sort_compress fault point first;
+  // only touched while the injector is armed.
+  std::atomic<bool> sort_compress_crossed{false};
 
   // One deque per thread; a bin enters exactly one deque (its completer's),
   // so per-deque capacity nbins can never overflow.
@@ -355,6 +363,12 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     // One bin's task: sort + compress + mask filter + row count, back to
     // back while the bin is cache-hot.
     auto run_task = [&](int bin) {
+      // The load keeps the exchange off every later task's path.
+      if (FaultInjector::enabled() &&
+          !sort_compress_crossed.load(std::memory_order_relaxed) &&
+          !sort_compress_crossed.exchange(true, std::memory_order_relaxed)) {
+        FaultInjector::at(FaultPoint::kSortCompress);
+      }
       FaultInjector::on_bin();
       const auto ubin = static_cast<std::size_t>(bin);
       const double t0 = omp_get_wtime();
@@ -520,6 +534,9 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // typed error must win over the (misleading) logic_error.
   if (error != nullptr) std::rethrow_exception(error);
   throw_if_stopped(cancel);
+  // An empty product ran no bin task; cross sort_compress here so every
+  // run still counts once.
+  if (nonempty == 0) FaultInjector::at(FaultPoint::kSortCompress);
 
   if (plan.cfg.validate) {
     for (std::size_t bin = 0; bin < nbins; ++bin) {
@@ -546,6 +563,7 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // ---- tail: prefix sum + scatter (the only barrier left); with an
   // accumulate epilogue the tail is the fused union build instead
   // (output_accum.hpp — count + prefix + merge-scatter against C_old) ----
+  FaultInjector::at(FaultPoint::kConvert);
   Timer tail_timer;
   if (accumulating) {
     const mtx::CsrMatrix& c_old = *epi.accumulate;

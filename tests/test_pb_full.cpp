@@ -78,21 +78,38 @@ TEST(PbTelemetry, FlopAndNnzMatchIndependentCounts) {
               1e-12);
 }
 
+// Both schedules are forced so the result does not depend on the host's
+// core count (kAuto pipelines at >1 thread).  The total identity is the
+// one PbTelemetry documents per schedule: barrier phases are sequential
+// and sum to the total; pipelined phase seconds are overlapping max
+// per-thread busy times, so the total is symbolic + the numeric wall.
 TEST(PbTelemetry, PhaseTimesPositiveAndSumToTotal) {
   const mtx::CsrMatrix a = testutil::exact_er(1000, 1000, 8.0, 24);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
-  const PbTelemetry& t = r.stats;
-  EXPECT_GT(t.symbolic.seconds, 0.0);
-  EXPECT_GT(t.expand.seconds, 0.0);
-  EXPECT_GE(t.sort.seconds, 0.0);
-  EXPECT_GE(t.compress.seconds, 0.0);
-  EXPECT_GT(t.convert.seconds, 0.0);
-  EXPECT_NEAR(t.total_seconds(),
-              t.symbolic.seconds + t.expand.seconds + t.sort.seconds +
-                  t.compress.seconds + t.convert.seconds,
-              1e-12);
-  EXPECT_GT(t.mflops(), 0.0);
+  for (const PbSchedule sched : {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
+    SCOPED_TRACE(sched == PbSchedule::kBarrier ? "barrier" : "pipeline");
+    PbConfig cfg;
+    cfg.schedule = sched;
+    const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+    const PbTelemetry& t = r.stats;
+    EXPECT_EQ(t.schedule, sched);
+    EXPECT_GT(t.symbolic.seconds, 0.0);
+    EXPECT_GT(t.expand.seconds, 0.0);
+    EXPECT_GE(t.sort.seconds, 0.0);
+    EXPECT_GE(t.compress.seconds, 0.0);
+    EXPECT_GT(t.convert.seconds, 0.0);
+    if (sched == PbSchedule::kBarrier) {
+      EXPECT_NEAR(t.total_seconds(),
+                  t.symbolic.seconds + t.expand.seconds + t.sort.seconds +
+                      t.compress.seconds + t.convert.seconds,
+                  1e-12);
+    } else {
+      EXPECT_GT(t.wall_seconds, 0.0);
+      EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + t.wall_seconds,
+                  1e-12);
+    }
+    EXPECT_GT(t.mflops(), 0.0);
+  }
 }
 
 TEST(PbTelemetry, ByteModelFollowsTableIIIPerFormat) {

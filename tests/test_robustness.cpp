@@ -18,6 +18,7 @@
 #include "common/errors.hpp"
 #include "common/fault.hpp"
 #include "matrix/matrix_market.hpp"
+#include "pb/pb_spgemm.hpp"
 #include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
@@ -132,28 +133,80 @@ TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
 // A FaultInjectedError raised at a phase boundary is NOT absorbed by the
 // degradation path (it is not a bad_alloc): the run propagates it, every
 // lease is returned, the plan cache stays consistent, and the next run
-// on the same executor serves the exact fresh-executor product.
+// on the same executor serves the exact fresh-executor product.  Swept
+// over both schedules: every phase point must be reachable under each.
+// The pipelined sort_compress throw is raised by a bin task inside the
+// parallel region, so it also exercises the worker exception_ptr funnel
+// (capture, abort-drain, rethrow after the join).
 TEST(ExecutorFault, PhaseThrowPropagatesAndExecutorRecovers) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 43);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kBarrier);
-  const mtx::CsrMatrix ref = fresh_run(p, op);
-  for (const FaultPoint point :
-       {FaultPoint::kPlanBuild, FaultPoint::kExpand,
-        FaultPoint::kSortCompress, FaultPoint::kConvert}) {
+  for (const pb::PbSchedule sched :
+       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
+    const SpGemmOp op = pb_op(sched);
+    const mtx::CsrMatrix ref = fresh_run(p, op);
+    for (const FaultPoint point :
+         {FaultPoint::kPlanBuild, FaultPoint::kExpand,
+          FaultPoint::kSortCompress, FaultPoint::kConvert}) {
+      SCOPED_TRACE(fault_point_name(point));
+      SCOPED_TRACE(sched == pb::PbSchedule::kBarrier ? "barrier" : "pipeline");
+      FaultGuard guard;
+      SpGemmExecutor exec;
+      FaultInjector::throw_at(point);
+      EXPECT_THROW(exec.run(p, op), FaultInjectedError);
+      EXPECT_EQ(exec.pool_stats().in_flight, 0u);
+      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
+    }
+  }
+}
+
+// Each execute phase point is crossed once per run under either schedule,
+// so throw_at(point, 1) lets the first run complete and fails the second.
+// (A point crossed per bin or per thread would fire inside the first run;
+// 16 bins give the pipeline many bin tasks to cross it in.)
+TEST(ExecutorFault, PhaseThrowSkipCountsRunsUnderBothSchedules) {
+  const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 46);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  for (const pb::PbSchedule sched :
+       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
+    SpGemmOp op = pb_op(sched);
+    op.pb.nbins = 16;
+    const mtx::CsrMatrix ref = fresh_run(p, op);
+    for (const FaultPoint point : {FaultPoint::kExpand,
+                                   FaultPoint::kSortCompress,
+                                   FaultPoint::kConvert}) {
+      SCOPED_TRACE(fault_point_name(point));
+      SCOPED_TRACE(sched == pb::PbSchedule::kBarrier ? "barrier" : "pipeline");
+      FaultGuard guard;
+      SpGemmExecutor exec;
+      FaultInjector::throw_at(point, /*skip=*/1);
+      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
+      EXPECT_THROW(exec.run(p, op), FaultInjectedError);
+      EXPECT_EQ(exec.pool_stats().in_flight, 0u);
+      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
+    }
+  }
+}
+
+// An empty product publishes no bin, so no bin task runs: the pipeline
+// must still cross sort_compress (after the join) as the barrier path does.
+TEST(ExecutorFault, PipelineEmptyProductCrossesEveryExecutePoint) {
+  const SpGemmProblem p = SpGemmProblem::square(mtx::CsrMatrix(64, 64));
+  pb::PbConfig cfg;
+  cfg.schedule = pb::PbSchedule::kPipeline;
+  for (const FaultPoint point : {FaultPoint::kExpand,
+                                 FaultPoint::kSortCompress,
+                                 FaultPoint::kConvert}) {
     FaultGuard guard;
-    SpGemmExecutor exec;
     FaultInjector::throw_at(point);
-    EXPECT_THROW(exec.run(p, op), FaultInjectedError)
-        << fault_point_name(point);
-    EXPECT_EQ(exec.pool_stats().in_flight, 0u) << fault_point_name(point);
-    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref))
+    EXPECT_THROW(pb::pb_spgemm(p.a_csc, p.b_csr, cfg), FaultInjectedError)
         << fault_point_name(point);
   }
 }
 
-// The pipeline schedule funnels a worker-thread throw through its
-// exception_ptr capture and rethrows it intact after the region joins.
+// plan_build fires in pb_plan_build, before any parallel region: the
+// pipelined executor must unwind from a failed analysis (no half-built
+// cache entry, no leaked lease) and serve the next run.
 TEST(ExecutorFault, PipelinePlanBuildThrowThenServes) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 44);
   const SpGemmProblem p = SpGemmProblem::square(a);
@@ -501,19 +554,32 @@ TEST(FaultEnvCtest, AllocFaultFromEnvironmentDegradesThenServes) {
   EXPECT_TRUE(mtx::equal_exact(c, c2));
 }
 
-TEST(FaultEnvCtest, PhaseThrowFromEnvironmentPropagatesThenServes) {
-  if (std::getenv("PBS_FAULT_THROW_AT") == nullptr) {
-    GTEST_SKIP() << "PBS_FAULT_THROW_AT not set";
-  }
+/// The env-armed phase throw fails the first run of `sched` with the typed
+/// error, returns every lease, and the retry matches a fresh executor.
+void expect_env_phase_throw_then_serves(pb::PbSchedule sched) {
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 55);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kBarrier);
+  const SpGemmOp op = pb_op(sched);
   SpGemmExecutor exec;
   EXPECT_THROW(exec.run(p, op), FaultInjectedError);
   EXPECT_EQ(exec.pool_stats().in_flight, 0u);
   const mtx::CsrMatrix c = exec.run(p, op);
   SpGemmExecutor fresh;
   EXPECT_TRUE(mtx::equal_exact(c, fresh.run(p, op)));
+}
+
+TEST(FaultEnvCtest, PhaseThrowFromEnvironmentPropagatesThenServes) {
+  if (std::getenv("PBS_FAULT_THROW_AT") == nullptr) {
+    GTEST_SKIP() << "PBS_FAULT_THROW_AT not set";
+  }
+  expect_env_phase_throw_then_serves(pb::PbSchedule::kBarrier);
+}
+
+TEST(FaultEnvCtest, PipelinePhaseThrowFromEnvironmentPropagatesThenServes) {
+  if (std::getenv("PBS_FAULT_THROW_AT") == nullptr) {
+    GTEST_SKIP() << "PBS_FAULT_THROW_AT not set";
+  }
+  expect_env_phase_throw_then_serves(pb::PbSchedule::kPipeline);
 }
 
 }  // namespace
